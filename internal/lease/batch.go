@@ -12,7 +12,7 @@ import (
 
 // Epoch-batch admission: AcquireBatch admits a whole window of concurrent
 // select+admit requests in one critical section and commits them as ONE
-// WAL record (one fsync; one replication round on a replicated ledger).
+// log record (one fsync; one replication round on a replicated ledger).
 // The batch is solved strictly serially against the ledger's residual
 // view — each item's placement sees every earlier item's debits — in a
 // deterministic priority order, so the outcome is exactly what replaying
@@ -91,145 +91,51 @@ func batchOrder(items []BatchItem) []int {
 // expired leases are swept once, then each item runs the same
 // place-then-admission-check sequence as Acquire — in priority order,
 // against the residual view that already includes every earlier item's
-// debits — and the accepted set commits as a single OpBatch WAL record.
-// Rejected items carry their AdmissionError (or placer error) in their
-// BatchResult; a WAL append failure fails the whole accepted set and
-// rolls its debits back, leaving the ledger untouched (all-or-nothing,
-// matching the one-line-one-fsync crash story).
-//
-// On a replicated ledger the batch is one proposal: every accepted item
-// becomes a pending lease, the batch record goes through one quorum
-// round, and Apply finalizes all of them in log order.
+// debits — and each accepted item is reserved as a pending lease. The
+// accepted set is then committed as a single OpBatch record: one fsync on
+// a WAL, one quorum round on a replicated ledger. Apply finalizes every
+// pending lease in the record's order. Rejected items carry their
+// AdmissionError (or placer error) in their BatchResult; a failed append
+// fails the whole accepted set and rolls its debits back
+// (all-or-nothing, matching the one-line-one-fsync crash story).
 func (l *Ledger) AcquireBatch(ctx context.Context, snap *topology.Snapshot, items []BatchItem) []BatchResult {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.acquire_batch")
 	span.SetAttr("items", fmt.Sprint(len(items)))
 	defer span.End()
+	return l.acquire(ctx, snap, items, true)
+}
 
+// acquire is the one admission path behind Acquire and AcquireBatch. Phase
+// 1, under the lock, reserves a pending lease per accepted item (debits in
+// place so later items and concurrent admissions see them, the lease
+// invisible to reads); phase 2 appends one record to the log — OpBatch
+// for a batch, the plain acquire record for a single Acquire; phase 3
+// observes what Apply did: finalized leases on success, rollback of every
+// still-pending reservation on failure.
+func (l *Ledger) acquire(ctx context.Context, snap *topology.Snapshot, items []BatchItem, batch bool) []BatchResult {
 	res := make([]BatchResult, len(items))
 	if snap == nil || snap.Graph != l.g {
-		err := fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
 		for i := range res {
-			res[i].Err = err
+			res[i].Err = errForeignSnapshot
 		}
-		span.Fail(err)
 		return res
 	}
-	// Malformed demands drop out before ordering, exactly as Acquire
-	// rejects them before taking the lock.
-	solvable := make([]bool, len(items))
-	for i := range items {
-		if err := items[i].Demand.Validate(); err != nil {
-			res[i].Err = err
-			continue
-		}
-		solvable[i] = true
-	}
-	order := batchOrder(items)
-
-	if l.replicator() != nil {
-		l.acquireBatchReplicated(ctx, snap, items, order, solvable, res)
-		return res
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.opt.Now()
-	l.sweepLocked(now)
-
 	type accepted struct {
 		idx int
 		ls  *Lease
 	}
 	var acc []accepted
 	var nested []Record
-	startID := l.nextID
-	for _, idx := range order {
-		if !solvable[idx] {
-			continue
-		}
+	l.mu.Lock()
+	log := l.log
+	now := l.opt.Now()
+	l.sweepLocked(now)
+	for _, idx := range batchOrder(items) {
 		it := &items[idx]
-		nodes, debits, err := l.placeAdmitLocked(it.ctx(), snap, it.Demand, it.Place)
-		if err != nil {
+		if err := it.Demand.Validate(); err != nil {
 			res[idx].Err = err
 			continue
 		}
-		ls := &Lease{
-			ID:      fmt.Sprintf("lease-%d", l.nextID),
-			Nodes:   append([]int(nil), nodes...),
-			Demand:  it.Demand,
-			Shape:   it.Shape.clone(),
-			Created: now,
-			Expiry:  now.Add(l.clampTTL(it.TTL)),
-			linkBW:  debits,
-		}
-		sort.Ints(ls.Nodes)
-		l.nextID++
-		// Debit immediately so the next item's residual sees this one;
-		// the lease itself stays out of the map until the batch is durable.
-		for _, id := range ls.Nodes {
-			l.addNodeCPU(id, it.Demand.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
-		acc = append(acc, accepted{idx, ls})
-		rec := acquireRecord(l.g, ls)
-		rec.RequestID = reqtrace.TraceID(it.ctx())
-		nested = append(nested, rec)
-	}
-	if len(acc) == 0 {
-		return res
-	}
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpBatch, Batch: nested}); err != nil {
-			// All-or-nothing: the batch never became durable, so no item
-			// may be acked. Return every debit and the unissued IDs.
-			for _, a := range acc {
-				for _, id := range a.ls.Nodes {
-					l.addNodeCPU(id, -a.ls.Demand.CPU)
-				}
-				for lid, bw := range a.ls.linkBW {
-					l.addLinkBW(lid, -bw)
-				}
-				res[a.idx].Err = fmt.Errorf("lease: wal: %w", err)
-			}
-			l.nextID = startID
-			return res
-		}
-	}
-	for _, a := range acc {
-		l.leases[a.ls.ID] = a.ls
-		l.version++
-		l.stats.Acquired++
-		l.event("acquire", a.ls)
-		res[a.idx].Info = l.infoLocked(a.ls)
-	}
-	l.stats.Batches++
-	l.maybeCompactLocked()
-	return res
-}
-
-// acquireBatchReplicated is the replicated batch path: phase 1 reserves a
-// pending lease per accepted item (debits in place, invisible to reads),
-// phase 2 proposes the whole batch as one record through one quorum
-// round, phase 3 observes what Apply did — finalized pending leases on
-// success, rollback of every still-pending reservation on failure.
-func (l *Ledger) acquireBatchReplicated(ctx context.Context, snap *topology.Snapshot, items []BatchItem, order []int, solvable []bool, res []BatchResult) {
-	l.mu.Lock()
-	r := l.opt.Replicator
-	now := l.opt.Now()
-
-	type accepted struct {
-		idx int
-		id  string
-	}
-	var acc []accepted
-	var nested []Record
-	for _, idx := range order {
-		if !solvable[idx] {
-			continue
-		}
-		it := &items[idx]
 		nodes, debits, err := l.placeAdmitLocked(it.ctx(), snap, it.Demand, it.Place)
 		if err != nil {
 			res[idx].Err = err
@@ -247,50 +153,46 @@ func (l *Ledger) acquireBatchReplicated(ctx context.Context, snap *topology.Snap
 		}
 		sort.Ints(ls.Nodes)
 		l.nextID++
-		for _, id := range ls.Nodes {
-			l.addNodeCPU(id, it.Demand.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
+		l.debitLocked(1, ls.Nodes, ls.Demand.CPU, debits)
 		l.leases[ls.ID] = ls
 		l.version++
-		acc = append(acc, accepted{idx, ls.ID})
+		acc = append(acc, accepted{idx, ls})
 		rec := acquireRecord(l.g, ls)
 		rec.RequestID = reqtrace.TraceID(it.ctx())
 		nested = append(nested, rec)
 	}
-	if len(acc) == 0 {
-		l.mu.Unlock()
-		return
-	}
-	rec := Record{Op: OpBatch, Batch: nested, RequestID: reqtrace.TraceID(ctx)}
 	l.mu.Unlock()
+	if len(acc) == 0 {
+		return res
+	}
+	rec := nested[0]
+	if batch {
+		rec = Record{Op: OpBatch, Batch: nested, RequestID: reqtrace.TraceID(ctx)}
+	}
 
-	err := r.Replicate(ctx, &rec)
+	err := log.Replicate(ctx, &rec)
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for _, a := range acc {
-		cur := l.leases[a.id]
-		switch {
-		case err != nil && cur != nil && cur.pending:
-			// The commit did not (visibly) happen: return the reservation.
-			// If the record commits after all, Apply re-installs from the
-			// record — the IDs are burned either way.
-			l.dropLocked(cur)
-			res[a.idx].Err = err
-		case cur != nil:
-			// Apply finalized (possibly racing a proposal timeout): the
-			// acked, replicated state wins over the error.
-			res[a.idx].Info = l.infoLocked(cur)
-		case err != nil:
-			res[a.idx].Err = err
-		default:
-			res[a.idx].Err = fmt.Errorf("lease: %q vanished during commit", a.id)
+		if !a.ls.pending {
+			// Apply finalized the reservation, possibly racing an append
+			// error: the committed state wins over the error.
+			res[a.idx].Info = l.infoLocked(a.ls)
+			continue
+		}
+		// The commit did not (visibly) happen: return the reservation. If
+		// the record commits after all, Apply re-installs it from the
+		// record — the ID is burned either way.
+		if l.leases[a.ls.ID] == a.ls {
+			l.dropLocked(a.ls)
+		}
+		if res[a.idx].Err = err; err == nil {
+			res[a.idx].Err = fmt.Errorf("lease: acquire %q committed without applying", a.ls.ID)
 		}
 	}
-	if err == nil {
+	if err == nil && batch {
 		l.stats.Batches++
 	}
+	return res
 }

@@ -14,9 +14,11 @@
 // Lifecycle: Acquire admits-or-rejects atomically (placement and
 // reservation happen in one critical section), Renew extends a lease's
 // TTL, Release returns its capacity, and an expiry sweep reclaims leases
-// whose clients crashed without releasing. An optional write-ahead log
-// persists every transition so a restarted daemon recovers its active
-// reservations (see wal.go).
+// whose clients crashed without releasing. Every transition is a record
+// appended to the ledger's log and installed by Apply (see log.go): the
+// log is a replication quorum, the optional write-ahead log that lets a
+// restarted daemon recover its active reservations (see wal.go), or
+// nothing at all for a ledger kept only in memory.
 package lease
 
 import (
@@ -160,22 +162,22 @@ type Lease struct {
 	// multiplicity times Demand.BW.
 	linkBW map[int]float64
 
-	// Replication bookkeeping (all zero on a non-replicated ledger, where
-	// every transition completes inside one critical section).
+	// Transition bookkeeping: set while a transition's record is being
+	// appended to the log, zero otherwise.
 	//
 	// pending marks an acquire that has reserved its debits but whose
-	// record has not yet been committed by the replication quorum: the
-	// lease is invisible to reads and immune to sweeps until the commit
-	// finalizes it (or a quorum failure rolls it back).
+	// record has not yet been committed to the log: the lease is invisible
+	// to reads and immune to sweeps until Apply finalizes it (or a failed
+	// append rolls it back).
 	pending bool
-	// inflight counts replication proposals outstanding against this lease
-	// (renew, release, migrate, expire). The sweeper must not propose an
-	// expiry while one is in flight, and conflicting capacity-moving
-	// proposals are refused rather than interleaved.
+	// inflight counts log appends outstanding against this lease (renew,
+	// release, migrate, expire). The sweeper must not expire the lease
+	// while one is in flight, and conflicting capacity-moving transitions
+	// are refused rather than interleaved.
 	inflight int
 	// handoverVer is the ledger version at which an in-flight
 	// reserve-new-alongside-old migration handover reserved its new debits
-	// (nonzero while the handover awaits quorum commit); pendingNodes and
+	// (nonzero while the handover awaits commit); pendingNodes and
 	// pendingLinkBW hold that reserve-new half. The TTL sweep checks
 	// handoverVer so it can never expire a lease mid-handover — expiring
 	// the old half while the new half is uncommitted would strand the new
@@ -212,8 +214,9 @@ type Options struct {
 	// DefaultTTL is used when Acquire/Renew receive a zero TTL (default
 	// 30s). MaxTTL caps any requested TTL (default 10m).
 	DefaultTTL, MaxTTL time.Duration
-	// WAL, when non-nil, persists every ledger transition; New replays it
-	// so active leases survive a restart. Open one with OpenWAL.
+	// WAL, when non-nil, is the ledger's log: every transition is appended
+	// and fsynced before Apply installs it, and New replays it so active
+	// leases survive a restart. Open one with OpenWAL.
 	WAL *WAL
 	// PlaceAttempts bounds Acquire's bandwidth-floor escalation retries
 	// (default 3). See Acquire.
@@ -234,12 +237,13 @@ type Options struct {
 	Replicator Replicator
 }
 
-// Replicator commits ledger transitions to a replication quorum. Replicate
-// returns only after rec is durable on a majority AND applied to the local
-// ledger (via Apply); any error means the record may or may not commit
-// later — callers roll back optimistic state and let Apply reconcile a
-// late commit. Implementations wrap ErrNotLeader when this replica cannot
-// propose.
+// Replicator is the ledger's log: every transition is appended through it.
+// Replicate returns only after rec is committed — durable on a replication
+// majority, or in the local WAL — AND applied to the local ledger (via
+// Apply); any error means the record may or may not commit later — callers
+// roll back optimistic state and let Apply reconcile a late commit.
+// Implementations wrap ErrNotLeader when this replica cannot propose. A
+// ledger without one appends to its own localLog.
 type Replicator interface {
 	Replicate(ctx context.Context, rec *Record) error
 }
@@ -297,6 +301,9 @@ type Ledger struct {
 	stats         Stats
 	onEvent       func(op string, l *Lease)
 	closed        bool
+	// log is where transitions are appended: Options.Replicator once one is
+	// installed, the ledger's localLog until then.
+	log Replicator
 }
 
 // residCache memoizes the derived residual view so repeated derivations
@@ -319,7 +326,9 @@ type residCache struct {
 // New builds a ledger over the graph. When opts.WAL is set, the WAL's
 // recovered state (snapshot plus log replay) is installed: unexpired
 // leases are re-debited — recomputing link debits from the current graph's
-// routes — and the ID counter resumes past every ID ever issued.
+// routes — and the ID counter resumes past every ID ever issued. Leases
+// whose term passed while the daemon was down, or that name nodes absent
+// from the topology, are skipped and counted.
 func New(g *topology.Graph, opts Options) (*Ledger, error) {
 	if g == nil {
 		return nil, fmt.Errorf("lease: ledger needs a graph")
@@ -339,10 +348,32 @@ func New(g *topology.Graph, opts Options) (*Ledger, error) {
 	if opts.WAL != nil && opts.Replicator != nil {
 		return nil, fmt.Errorf("lease: WAL and Replicator are mutually exclusive (the replica log is the durability layer)")
 	}
-	if opts.WAL != nil {
-		if err := l.recover(); err != nil {
-			return nil, err
+	l.log = opts.Replicator
+	if l.log == nil {
+		l.log = &localLog{l: l, wal: opts.WAL}
+	}
+	if opts.WAL == nil {
+		return l, nil
+	}
+	active, maxSeq, err := opts.WAL.load()
+	if err != nil {
+		return nil, fmt.Errorf("lease: wal recovery: %w", err)
+	}
+	l.nextID = maxSeq + 1
+	now := opts.Now()
+	for _, rec := range active {
+		if time.UnixMilli(rec.ExpiryUnixMS).After(now) {
+			if l.installRecordLocked(rec) != nil {
+				l.stats.Recovered++
+				continue
+			}
+		} else {
+			l.stats.RecoverySkipped++
 		}
+		// Drop the skipped lease from the WAL's fold, so the next compaction
+		// stops carrying it. Nothing is written: until then, replay skips it
+		// again by the same test.
+		opts.WAL.forget(rec.ID)
 	}
 	return l, nil
 }
@@ -358,6 +389,7 @@ func (l *Ledger) SetReplicator(r Replicator) {
 		panic("lease: SetReplicator on a WAL-backed ledger")
 	}
 	l.opt.Replicator = r
+	l.log = r
 }
 
 // SetOnEvent installs an observer for ledger transitions ("acquire",
@@ -370,7 +402,8 @@ func (l *Ledger) SetOnEvent(fn func(op string, ls *Lease)) {
 }
 
 // Version returns a monotonic counter bumped on every capacity-changing
-// transition: acquire, release, expiry, and WAL recovery. Renewals do not
+// transition — acquire, release, expiry, migration and WAL recovery —
+// and on every reservation or rollback of one. Renewals do not
 // change residual capacity and do not bump it. A plan cached against one
 // version can never be served once the counter moves — versions are never
 // reused, so there is no ABA window.
@@ -474,6 +507,17 @@ func (l *Ledger) addNodeCPU(id int, delta float64) {
 	}
 	if l.resid.view != nil {
 		l.resid.dirtyNodes[id] = struct{}{}
+	}
+}
+
+// debitLocked adds (sign 1) or returns (sign -1) one placement's debits:
+// cpu on each node and linkBW per link. Callers hold l.mu.
+func (l *Ledger) debitLocked(sign float64, nodes []int, cpu float64, linkBW map[int]float64) {
+	for _, id := range nodes {
+		l.addNodeCPU(id, sign*cpu)
+	}
+	for lid, bw := range linkBW {
+		l.addLinkBW(lid, sign*bw)
 	}
 }
 
@@ -620,7 +664,7 @@ func (l *Ledger) Residual(snap *topology.Snapshot) *topology.Snapshot {
 // reservation as competing load, or staying put always looks congested.
 func (l *Ledger) ResidualExcluding(snap *topology.Snapshot, id string) (*topology.Snapshot, error) {
 	if snap == nil || snap.Graph != l.g {
-		return nil, fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
+		return nil, errForeignSnapshot
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -658,12 +702,18 @@ func (l *Ledger) ResidualExcluding(snap *topology.Snapshot, id string) (*topolog
 // trace as the ledger's own.
 type PlaceFunc func(ctx context.Context, residual *topology.Snapshot, minBW float64) ([]int, error)
 
-// Acquire runs the whole admit-or-reject sequence in one critical
-// section: sweep expired leases, build the residual view, call place on
-// it, verify the chosen set's debits fit the residual capacity, and — only
-// if they do — commit the reservation and issue a lease. Rejections leave
-// the ledger untouched and name the binding bottleneck via AdmissionError
-// (or return the placer's own error when no feasible set exists at all).
+// errForeignSnapshot rejects a snapshot of some other topology: its node
+// and link IDs would index the wrong debits.
+var errForeignSnapshot = errors.New("lease: snapshot does not belong to the ledger's graph")
+
+// Acquire runs the whole admit-or-reject sequence: under one critical
+// section it sweeps expired leases, builds the residual view, calls place
+// on it, verifies the chosen set's debits fit the residual capacity, and —
+// only if they do — reserves them; the lease is issued once its record is
+// committed to the log. Rejections leave the ledger untouched and name the
+// binding bottleneck via AdmissionError (or return the placer's own error
+// when no feasible set exists at all). Acquire is AcquireBatch of one item,
+// logged as a plain acquire record.
 //
 // A single-flow bandwidth floor is necessary but not sufficient: a link
 // crossed by k of the placement's flows must hold k times the per-flow
@@ -681,36 +731,14 @@ func (l *Ledger) Acquire(ctx context.Context, snap *topology.Snapshot, d Demand,
 func (l *Ledger) AcquireShaped(ctx context.Context, snap *topology.Snapshot, d Demand, ttl time.Duration, shape *Shape, place PlaceFunc) (Info, error) {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.acquire")
 	defer span.End()
-	info, err := l.acquireShaped(ctx, snap, d, ttl, shape, place)
-	if err != nil {
-		span.Fail(err)
+	item := BatchItem{Ctx: ctx, Demand: d, TTL: ttl, Shape: shape, Place: place}
+	r := l.acquire(ctx, snap, []BatchItem{item}, false)[0]
+	if r.Err != nil {
+		span.Fail(r.Err)
 	} else {
-		span.SetAttr("lease", info.ID)
+		span.SetAttr("lease", r.Info.ID)
 	}
-	return info, err
-}
-
-func (l *Ledger) acquireShaped(ctx context.Context, snap *topology.Snapshot, d Demand, ttl time.Duration, shape *Shape, place PlaceFunc) (Info, error) {
-	if err := d.Validate(); err != nil {
-		return Info{}, err
-	}
-	if snap == nil || snap.Graph != l.g {
-		return Info{}, fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
-	}
-	ttl = l.clampTTL(ttl)
-	if l.replicator() != nil {
-		return l.acquireReplicated(ctx, snap, d, ttl, shape, place)
-	}
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	now := l.opt.Now()
-	l.sweepLocked(now)
-	nodes, debits, err := l.placeAdmitLocked(ctx, snap, d, place)
-	if err != nil {
-		return Info{}, err
-	}
-	return l.commitLocked(ctx, nodes, d, shape, debits, now, ttl)
+	return r.Info, r.Err
 }
 
 // placeAdmitLocked runs the place-then-admission-check loop with
@@ -755,17 +783,26 @@ func (l *Ledger) placeAdmitLocked(ctx context.Context, snap *topology.Snapshot, 
 	return nil, nil, lastAdm
 }
 
-// replicator reads the installed Replicator under the lock (SetReplicator
-// may install it after New).
-func (l *Ledger) replicator() Replicator {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.opt.Replicator
+// liveLocked looks up the committed lease a renew or migrate names,
+// sweeping on the way. The expiry check does not depend on the sweep: a
+// lease the sweep just reclaimed is reported expired, not as never having
+// existed. Callers hold l.mu.
+func (l *Ledger) liveLocked(id string, now time.Time) (*Lease, error) {
+	ls, ok := l.leases[id]
+	l.sweepLocked(now)
+	if !ok || ls.pending {
+		return nil, fmt.Errorf("%w: %q", ErrNotFound, id)
+	}
+	if !ls.Expiry.After(now) {
+		return nil, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	}
+	return ls, nil
 }
 
-// Migrate atomically moves an active lease to a new node set: the handover
-// is reserve-new-then-release-old in one critical section, so there is no
-// instant at which either the old or the new placement is unbacked by a
+// Migrate moves an active lease to a new node set by a
+// reserve-new-alongside-old handover: the new set's debits are reserved
+// next to the old ones, and the migrate record's Apply returns the old
+// half, so there is no instant at which either placement is unbacked by a
 // reservation, and no instant of oversubscription. The new set's debits
 // are admission-checked against the residual view that still includes the
 // lease's own current reservation — the new set must fit *alongside* the
@@ -774,6 +811,8 @@ func (l *Ledger) replicator() Replicator {
 // residual view and the lease's per-flow bandwidth demand as the floor;
 // returning the current node set is a successful no-op. The lease keeps
 // its ID, demand, shape and expiry — migration does not extend the term.
+// While the handover awaits its commit the lease refuses a release and
+// any other migration with ErrRejected, and the TTL sweep passes it by.
 func (l *Ledger) Migrate(ctx context.Context, snap *topology.Snapshot, id string, place PlaceFunc) (Info, error) {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.migrate")
 	span.SetAttr("lease", id)
@@ -787,29 +826,25 @@ func (l *Ledger) Migrate(ctx context.Context, snap *topology.Snapshot, id string
 
 func (l *Ledger) migrate(ctx context.Context, snap *topology.Snapshot, id string, place PlaceFunc) (Info, error) {
 	if snap == nil || snap.Graph != l.g {
-		return Info{}, fmt.Errorf("lease: snapshot does not belong to the ledger's graph")
-	}
-	if l.replicator() != nil {
-		return l.migrateReplicated(ctx, snap, id, place)
+		return Info{}, errForeignSnapshot
 	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
 	if l.closed {
 		// The release-old path (WAL flush) is gone; committing the
 		// reserve-new half now could never be durably released.
+		l.mu.Unlock()
 		return Info{}, ErrClosed
 	}
-	now := l.opt.Now()
-	ls, ok := l.leases[id]
-	if ok && !ls.Expiry.After(now) {
-		l.sweepLocked(now)
-		return Info{}, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	log := l.log
+	ls, err := l.liveLocked(id, l.opt.Now())
+	if err != nil {
+		l.mu.Unlock()
+		return Info{}, err
 	}
-	l.sweepLocked(now)
-	if ls, ok = l.leases[id]; !ok {
-		return Info{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+	if ls.inflight > 0 || ls.handoverVer != 0 {
+		l.mu.Unlock()
+		return Info{}, fmt.Errorf("%w: lease %q has a transition in flight", ErrRejected, id)
 	}
-
 	residual := l.residualLocked(snap)
 	placeCtx, placeSpan := reqtrace.StartSpan(ctx, "lease.place")
 	nodes, err := place(placeCtx, residual, ls.Demand.BW)
@@ -817,51 +852,58 @@ func (l *Ledger) migrate(ctx context.Context, snap *topology.Snapshot, id string
 		placeSpan.Fail(err)
 		placeSpan.End()
 		l.stats.Rejected++
+		l.mu.Unlock()
 		return Info{}, err
 	}
 	placeSpan.End()
 	nodes = append([]int(nil), nodes...)
 	sort.Ints(nodes)
 	if sameNodeSet(nodes, ls.Nodes) {
-		return l.infoLocked(ls), nil
+		info := l.infoLocked(ls)
+		l.mu.Unlock()
+		return info, nil
 	}
 	debits, adm := l.admissionCheck(residual, nodes, ls.Demand)
 	if adm != nil {
 		l.stats.Rejected++
+		l.mu.Unlock()
 		return Info{}, adm
 	}
-
-	// WAL first, like every transition: the migrate record carries the full
-	// new lease state, so replay after a crash lands on exactly one of the
-	// two placements, never a mixture.
+	// Reserve the new half next to the old one. The migrate record carries
+	// the full new lease state, so replay after a crash lands on exactly
+	// one of the two placements, never a mixture.
+	l.debitLocked(1, nodes, ls.Demand.CPU, debits)
+	ls.pendingNodes, ls.pendingLinkBW = nodes, debits
+	l.version++
+	ls.handoverVer = l.version
 	moved := *ls
 	moved.Nodes = nodes
-	moved.linkBW = debits
-	if l.opt.WAL != nil {
-		rec := acquireRecord(l.g, &moved)
-		rec.Op = OpMigrate
-		if err := l.opt.WAL.append(ctx, rec); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
+	rec := acquireRecord(l.g, &moved)
+	rec.Op = OpMigrate
+	rec.RequestID = reqtrace.TraceID(ctx)
+	l.mu.Unlock()
+
+	err = log.Replicate(ctx, &rec)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.leases[id] != ls {
+		// Unreachable by construction (handoverVer blocks release, expiry
+		// and rival transitions), kept for defense in depth.
+		if err == nil {
+			err = fmt.Errorf("%w: %q", ErrNotFound, id)
 		}
+		return Info{}, err
 	}
-	for _, nid := range nodes {
-		l.addNodeCPU(nid, ls.Demand.CPU)
+	if ls.handoverVer != 0 {
+		// Apply did not finalize the handover: return the new half's debits.
+		l.cancelHandoverLocked(ls)
+		l.version++
+		if err == nil {
+			err = fmt.Errorf("lease: migrate %q committed without applying", id)
+		}
+		return Info{}, err
 	}
-	for lid, bw := range debits {
-		l.addLinkBW(lid, bw)
-	}
-	for _, nid := range ls.Nodes {
-		l.addNodeCPU(nid, -ls.Demand.CPU)
-	}
-	for lid, bw := range ls.linkBW {
-		l.addLinkBW(lid, -bw)
-	}
-	ls.Nodes = nodes
-	ls.linkBW = debits
-	l.version++
-	l.stats.Migrated++
-	l.event("migrate", ls)
-	l.maybeCompactLocked()
 	return l.infoLocked(ls), nil
 }
 
@@ -923,46 +965,16 @@ func (l *Ledger) admissionCheck(residual *topology.Snapshot, nodes []int, d Dema
 	return debits, nil
 }
 
-// commitLocked records an admitted placement: WAL first (an append failure
-// aborts the admit), then the in-memory debits. Callers hold l.mu.
-func (l *Ledger) commitLocked(ctx context.Context, nodes []int, d Demand, shape *Shape, debits map[int]float64, now time.Time, ttl time.Duration) (Info, error) {
-	ls := &Lease{
-		ID:      fmt.Sprintf("lease-%d", l.nextID),
-		Nodes:   append([]int(nil), nodes...),
-		Demand:  d,
-		Shape:   shape.clone(),
-		Created: now,
-		Expiry:  now.Add(ttl),
-		linkBW:  debits,
-	}
-	sort.Ints(ls.Nodes)
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, acquireRecord(l.g, ls)); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
-		}
-	}
-	l.nextID++
-	for _, id := range ls.Nodes {
-		l.addNodeCPU(id, d.CPU)
-	}
-	for lid, bw := range debits {
-		l.addLinkBW(lid, bw)
-	}
-	l.leases[ls.ID] = ls
-	l.version++
-	l.stats.Acquired++
-	l.event("acquire", ls)
-	l.maybeCompactLocked()
-	return l.infoLocked(ls), nil
-}
-
 // Renew extends a lease's term to now + ttl (the default TTL when ttl is
 // zero, capped at MaxTTL). A lease whose term has already passed cannot be
 // renewed — even if the TTL sweeper has not reclaimed it yet. Its capacity
 // is conceptually returned the moment the clock passes Expiry, and other
 // admissions may have been granted on that basis, so resurrecting the
 // reservation could oversubscribe; the caller gets the typed ErrExpired
-// (distinct from ErrNotFound) and must re-admit through Acquire.
+// (distinct from ErrNotFound) and must re-admit through Acquire. The new
+// expiry is stamped into the renew record, so replay and every replica
+// land on the identical timestamp; nothing changes until the record is
+// committed.
 func (l *Ledger) Renew(ctx context.Context, id string, ttl time.Duration) (Info, error) {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.renew")
 	span.SetAttr("lease", id)
@@ -976,36 +988,39 @@ func (l *Ledger) Renew(ctx context.Context, id string, ttl time.Duration) (Info,
 
 func (l *Ledger) renew(ctx context.Context, id string, ttl time.Duration) (Info, error) {
 	ttl = l.clampTTL(ttl)
-	if l.replicator() != nil {
-		return l.renewReplicated(ctx, id, ttl)
+	l.mu.Lock()
+	log := l.log
+	now := l.opt.Now()
+	ls, err := l.liveLocked(id, now)
+	if err != nil {
+		l.mu.Unlock()
+		return Info{}, err
 	}
+	ls.inflight++
+	rec := Record{Op: OpRenew, ID: id, ExpiryUnixMS: now.Add(ttl).UnixMilli(), RequestID: reqtrace.TraceID(ctx)}
+	l.mu.Unlock()
+
+	err = log.Replicate(ctx, &rec)
+
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	now := l.opt.Now()
-	// The expiry check must precede the sweep: sweeping first would reclaim
-	// the overdue lease and misreport it as never having existed.
-	if ls, ok := l.leases[id]; ok && !ls.Expiry.After(now) {
-		l.sweepLocked(now)
-		return Info{}, fmt.Errorf("%w: %q expired at %s", ErrExpired, id, ls.Expiry.Format(time.RFC3339))
+	ls.inflight--
+	if err != nil {
+		return Info{}, err
 	}
-	l.sweepLocked(now)
-	ls, ok := l.leases[id]
+	cur, ok := l.leases[id]
 	if !ok {
-		return Info{}, fmt.Errorf("%w: %q", ErrNotFound, id)
+		// The renew committed but a competing expire/release landed right
+		// after it in the log: the lease is gone and must be re-admitted.
+		return Info{}, fmt.Errorf("%w: %q", ErrExpired, id)
 	}
-	ls.Expiry = now.Add(ttl)
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpRenew, ID: id, ExpiryUnixMS: ls.Expiry.UnixMilli()}); err != nil {
-			return Info{}, fmt.Errorf("lease: wal: %w", err)
-		}
-	}
-	l.stats.Renewed++
-	l.event("renew", ls)
-	l.maybeCompactLocked()
-	return l.infoLocked(ls), nil
+	return l.infoLocked(cur), nil
 }
 
-// Release returns a lease's capacity to the pool.
+// Release returns a lease's capacity to the pool. A lease whose migration
+// handover is still awaiting its commit refuses with ErrRejected: a release
+// interleaved into it would leave the migrate record to resurrect the
+// lease on replay.
 func (l *Ledger) Release(ctx context.Context, id string) error {
 	ctx, span := reqtrace.StartSpan(ctx, "lease.release")
 	span.SetAttr("lease", id)
@@ -1018,91 +1033,100 @@ func (l *Ledger) Release(ctx context.Context, id string) error {
 }
 
 func (l *Ledger) release(ctx context.Context, id string) error {
-	if l.replicator() != nil {
-		return l.releaseReplicated(ctx, id)
-	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
+	log := l.log
 	l.sweepLocked(l.opt.Now())
 	ls, ok := l.leases[id]
-	if !ok {
+	if !ok || ls.pending {
+		l.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	if l.opt.WAL != nil {
-		if err := l.opt.WAL.append(ctx, Record{Op: OpRelease, ID: id}); err != nil {
-			return fmt.Errorf("lease: wal: %w", err)
-		}
+	if ls.handoverVer != 0 {
+		l.mu.Unlock()
+		return fmt.Errorf("%w: lease %q has a migration handover in flight", ErrRejected, id)
 	}
-	l.dropLocked(ls)
-	l.stats.Released++
-	l.event("release", ls)
-	l.maybeCompactLocked()
+	ls.inflight++
+	rec := Record{Op: OpRelease, ID: id, RequestID: reqtrace.TraceID(ctx)}
+	l.mu.Unlock()
+
+	err := log.Replicate(ctx, &rec)
+
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	ls.inflight--
+	if _, ok := l.leases[id]; ok {
+		return err // still present: only possible when the append failed
+	}
+	// Gone — released by this commit, or expired just before it. The
+	// capacity is returned either way, which is all Release promises.
 	return nil
 }
 
 // dropLocked credits a lease's debits back and forgets it. Callers hold
-// l.mu and handle WAL and stats themselves.
+// l.mu and handle the log and stats themselves.
 func (l *Ledger) dropLocked(ls *Lease) {
-	for _, id := range ls.Nodes {
-		l.addNodeCPU(id, -ls.Demand.CPU)
-	}
-	for lid, bw := range ls.linkBW {
-		l.addLinkBW(lid, -bw)
-	}
+	l.debitLocked(-1, ls.Nodes, ls.Demand.CPU, ls.linkBW)
 	// A committed release/expire lands while a reserve-new-alongside-old
-	// handover is still awaiting quorum: return the new half's debits too,
-	// or they would leak forever.
+	// handover is still awaiting its commit: return the new half's debits
+	// too, or they would leak forever.
 	if ls.pendingLinkBW != nil {
-		for _, id := range ls.pendingNodes {
-			l.addNodeCPU(id, -ls.Demand.CPU)
-		}
-		for lid, bw := range ls.pendingLinkBW {
-			l.addLinkBW(lid, -bw)
-		}
-		ls.pendingNodes, ls.pendingLinkBW, ls.handoverVer = nil, nil, 0
+		l.cancelHandoverLocked(ls)
 	}
 	delete(l.leases, ls.ID)
 	l.version++
 }
 
+// cancelHandoverLocked returns the reserve-new half of an uncommitted
+// migration handover. Callers hold l.mu.
+func (l *Ledger) cancelHandoverLocked(ls *Lease) {
+	l.debitLocked(-1, ls.pendingNodes, ls.Demand.CPU, ls.pendingLinkBW)
+	ls.pendingNodes, ls.pendingLinkBW, ls.handoverVer = nil, nil, 0
+}
+
+// dueLocked lists the leases whose term has passed and that have no
+// transition in flight, in ID order (deterministic for the log and
+// observers). A transition in flight shields its lease — canonically a
+// reserve-new-alongside-old handover: expiring the old half mid-handover
+// would strand the reserved new debits and then resurrect the lease when
+// the migrate record commits. Callers hold l.mu.
+func (l *Ledger) dueLocked(now time.Time) []*Lease {
+	var due []*Lease
+	for _, ls := range l.leases {
+		if !ls.Expiry.After(now) && !ls.pending && ls.inflight == 0 && ls.handoverVer == 0 {
+			due = append(due, ls)
+		}
+	}
+	sort.Slice(due, func(i, j int) bool { return due[i].ID < due[j].ID })
+	return due
+}
+
 // sweepLocked expires leases whose term has passed. Callers hold l.mu.
-// On a replicated ledger this is a no-op: expiry is a replicated
-// transition proposed by the leader's Sweep and applied everywhere in log
-// order — a local drop here would fork replicas whose clocks disagree.
+// Who decides expiry is the one thing that depends on the kind of log. A
+// local log's clock is the only clock, so overdue leases are dropped here,
+// lazily, and the expire record is appended best-effort: expiry is
+// derivable from timestamps at recovery, and a failed append must not keep
+// dead capacity reserved. On a replicated ledger this is a no-op: expiry
+// is a replicated transition proposed by the leader's Sweep and applied
+// everywhere in log order — a local drop here would fork replicas whose
+// clocks disagree.
 func (l *Ledger) sweepLocked(now time.Time) int {
 	if l.opt.Replicator != nil {
 		return 0
 	}
-	var expired []*Lease
-	for _, ls := range l.leases {
-		if !ls.Expiry.After(now) && !l.transitionInFlightLocked(ls) {
-			expired = append(expired, ls)
-		}
-	}
-	// Deterministic order for WAL contents and observers.
-	sort.Slice(expired, func(i, j int) bool { return expired[i].ID < expired[j].ID })
-	for _, ls := range expired {
+	due := l.dueLocked(now)
+	for _, ls := range due {
+		rec := Record{Op: OpExpire, ID: ls.ID}
 		if l.opt.WAL != nil {
-			// Expiry is derivable from timestamps at recovery; a failed
-			// append must not keep dead capacity reserved, so log best-effort.
-			l.opt.WAL.append(context.Background(), Record{Op: OpExpire, ID: ls.ID})
+			l.opt.WAL.append(context.Background(), rec)
 		}
-		l.dropLocked(ls)
-		l.stats.Expired++
-		l.event("expire", ls)
+		l.applyLocked(rec)
 	}
-	return len(expired)
+	return len(due)
 }
 
-// transitionInFlightLocked reports whether a lease has an uncommitted
-// replication proposal against it. The TTL sweep must skip such leases —
-// canonically a reserve-new-alongside-old handover (handoverVer nonzero):
-// expiring the old half mid-handover would strand the reserved new debits
-// and then resurrect the lease when the migrate record commits. Callers
-// hold l.mu.
-func (l *Ledger) transitionInFlightLocked(ls *Lease) bool {
-	return ls.pending || ls.inflight > 0 || ls.handoverVer != 0
-}
+// sweepTimeout bounds how long one expiry proposal may wait on the quorum
+// before the sweeper gives up and retries on its next tick.
+const sweepTimeout = 5 * time.Second
 
 // Sweep expires overdue leases now and reports how many were reclaimed.
 // Every ledger operation also sweeps lazily; call Sweep (or StartSweeper)
@@ -1110,14 +1134,41 @@ func (l *Ledger) transitionInFlightLocked(ls *Lease) bool {
 // replicated ledger Sweep instead *proposes* an expiry per due lease
 // through the Replicator — effective only on the leader (followers get
 // ErrNotLeader and reclaim nothing; the committed expiry reaches them
-// through Apply).
+// through Apply). Each record is stamped with the expiry the sweeper saw,
+// so Apply on every replica can deterministically ignore the expiry when a
+// renew outran it. The first proposal error aborts the pass — lost
+// leadership or a lost quorum makes the remaining proposals pointless;
+// they retry next tick (on whoever leads then).
 func (l *Ledger) Sweep() int {
-	if r := l.replicator(); r != nil {
-		return l.sweepReplicated(r)
-	}
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.sweepLocked(l.opt.Now())
+	r := l.opt.Replicator
+	if r == nil {
+		defer l.mu.Unlock()
+		return l.sweepLocked(l.opt.Now())
+	}
+	due := l.dueLocked(l.opt.Now())
+	recs := make([]Record, len(due))
+	for i, ls := range due {
+		ls.inflight++
+		recs[i] = Record{Op: OpExpire, ID: ls.ID, ExpiryUnixMS: ls.Expiry.UnixMilli()}
+	}
+	l.mu.Unlock()
+	n := 0
+	var err error
+	for i, ls := range due {
+		if err == nil {
+			ctx, cancel := context.WithTimeout(context.Background(), sweepTimeout)
+			err = r.Replicate(ctx, &recs[i])
+			cancel()
+			if err == nil {
+				n++
+			}
+		}
+		l.mu.Lock()
+		ls.inflight--
+		l.mu.Unlock()
+	}
+	return n
 }
 
 // StartSweeper runs Sweep every interval until the returned stop function
@@ -1225,8 +1276,10 @@ func (l *Ledger) AdvanceSeq(seq int64) {
 }
 
 // Close flushes the WAL (writing a final snapshot of the active leases)
-// and closes it. The ledger stays usable in memory but persists nothing
-// further. Safe to call more than once.
+// and closes it. Transitions on a WAL-backed ledger fail from then on,
+// since their records can no longer be made durable; an in-memory ledger
+// stays usable, except that Migrate refuses with ErrClosed. Safe to call
+// more than once.
 func (l *Ledger) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -1235,93 +1288,9 @@ func (l *Ledger) Close() error {
 		return nil
 	}
 	l.closed = true
-	if err := l.opt.WAL.compact(l.activeRecordsLocked()); err != nil {
+	if err := l.opt.WAL.compact(); err != nil {
 		l.opt.WAL.close()
 		return err
 	}
 	return l.opt.WAL.close()
-}
-
-// activeRecordsLocked renders the active leases as WAL acquire records.
-// Callers hold l.mu.
-func (l *Ledger) activeRecordsLocked() []Record {
-	out := make([]Record, 0, len(l.leases))
-	for _, ls := range l.leases {
-		out = append(out, acquireRecord(l.g, ls))
-	}
-	sort.Slice(out, func(i, j int) bool { return leaseSeq(out[i].ID) < leaseSeq(out[j].ID) })
-	return out
-}
-
-// maybeCompactLocked snapshots and truncates the WAL once enough records
-// accumulate. Callers hold l.mu.
-func (l *Ledger) maybeCompactLocked() {
-	if l.opt.WAL == nil || !l.opt.WAL.due() {
-		return
-	}
-	// Compaction failure is not fatal: the log keeps growing and remains
-	// replayable; the next threshold crossing retries.
-	l.opt.WAL.compact(l.activeRecordsLocked())
-}
-
-// recover replays the WAL into the ledger: unexpired leases are
-// re-admitted without re-running admission control (they were admitted
-// before the restart), with link debits recomputed from the current
-// graph's routes. Leases naming nodes absent from the topology, or whose
-// expiry has passed, are skipped and counted.
-func (l *Ledger) recover() error {
-	active, maxSeq, err := l.opt.WAL.load()
-	if err != nil {
-		return fmt.Errorf("lease: wal recovery: %w", err)
-	}
-	now := l.opt.Now()
-	l.nextID = maxSeq + 1
-	for _, rec := range active {
-		expiry := time.UnixMilli(rec.ExpiryUnixMS)
-		if !expiry.After(now) {
-			l.stats.RecoverySkipped++
-			continue
-		}
-		nodes := make([]int, 0, len(rec.Nodes))
-		known := true
-		for _, name := range rec.Nodes {
-			id := l.g.NodeByName(name)
-			if id < 0 {
-				known = false
-				break
-			}
-			nodes = append(nodes, id)
-		}
-		if !known {
-			l.stats.RecoverySkipped++
-			continue
-		}
-		sort.Ints(nodes)
-		d := Demand{CPU: rec.CPU, BW: rec.BW}
-		debits := make(map[int]float64)
-		if d.BW > 0 {
-			for lid, flows := range l.g.FlowLinkCounts(nodes) {
-				debits[lid] = float64(flows) * d.BW
-			}
-		}
-		ls := &Lease{
-			ID:      rec.ID,
-			Nodes:   nodes,
-			Demand:  d,
-			Shape:   rec.Shape.clone(),
-			Created: time.UnixMilli(rec.CreatedUnixMS),
-			Expiry:  expiry,
-			linkBW:  debits,
-		}
-		for _, id := range nodes {
-			l.addNodeCPU(id, d.CPU)
-		}
-		for lid, bw := range debits {
-			l.addLinkBW(lid, bw)
-		}
-		l.leases[ls.ID] = ls
-		l.version++
-		l.stats.Recovered++
-	}
-	return nil
 }

@@ -3,6 +3,7 @@ package lease
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"time"
@@ -302,4 +303,95 @@ func TestWALPersistsShapeAndMigration(t *testing.T) {
 			t.Fatalf("new node %d debited %.2f after recovery, want 0.4", id, nodeCPU[id])
 		}
 	}
+}
+
+// holdMigrate freezes migrate proposals until release is closed, so a test
+// can commit other records of the same lease ahead of the migrate record.
+type holdMigrate struct {
+	*stubReplicator
+	held, release chan struct{}
+}
+
+func (h *holdMigrate) Replicate(ctx context.Context, rec *Record) error {
+	if rec.Op == OpMigrate {
+		close(h.held)
+		<-h.release
+	}
+	return h.stubReplicator.Replicate(ctx, rec)
+}
+
+// A renew that commits while a migrate handover is in flight lands in the
+// log ahead of the migrate record, which still carries the old term. The
+// renewed expiry must survive the migrate everywhere: on the proposer, on
+// a follower, in a WAL's fold of the same records, and in a ledger
+// crash-recovered from that WAL.
+func TestRenewCommittedDuringMigrateKeepsExpiry(t *testing.T) {
+	clock := newFakeClock()
+	ctx := context.Background()
+	leader, follower, stub := newReplicatedPair(t, 6, clock)
+	hold := &holdMigrate{stubReplicator: stub, held: make(chan struct{}), release: make(chan struct{})}
+	leader.SetReplicator(hold)
+	snap := topology.NewSnapshot(leader.Graph())
+
+	info, err := leader.Acquire(ctx, snap, Demand{CPU: 0.4, BW: 5e6}, time.Minute, fixedPlace(1, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	migrated := make(chan error, 1)
+	go func() {
+		_, err := leader.Migrate(ctx, snap, info.ID, fixedPlace(3, 4))
+		migrated <- err
+	}()
+	<-hold.held
+	clock.Advance(10 * time.Second)
+	renewed, err := leader.Renew(ctx, info.ID, 5*time.Minute)
+	close(hold.release)
+	if err != nil {
+		t.Fatalf("renew during handover: %v", err)
+	}
+	if err := <-migrated; err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	want := renewed.ExpiresAt
+	if !want.After(info.ExpiresAt) {
+		t.Fatalf("renewed expiry %v not after original %v", want, info.ExpiresAt)
+	}
+	if ops := []string{stub.log[1].Op, stub.log[2].Op}; ops[0] != OpRenew || ops[1] != OpMigrate {
+		t.Fatalf("log order %v, want the renew committed ahead of the migrate", ops)
+	}
+
+	check := func(label string, l *Ledger) {
+		t.Helper()
+		got, ok := l.Get(info.ID)
+		if !ok {
+			t.Fatalf("%s: lease %s missing", label, info.ID)
+		}
+		if !got.ExpiresAt.Equal(want) {
+			t.Fatalf("%s: expiry %v, want the renewed %v", label, got.ExpiresAt, want)
+		}
+		if fmt.Sprint(got.Nodes) != fmt.Sprint([]string{leader.Graph().Node(3).Name, leader.Graph().Node(4).Name}) {
+			t.Fatalf("%s: nodes %v, want the migrated placement", label, got.Nodes)
+		}
+	}
+	check("leader", leader)
+	check("follower", follower)
+	assertConverged(t, leader, follower)
+
+	// The same committed records, in log order, through a WAL.
+	dir := t.TempDir()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	for _, rec := range stub.log {
+		if err := w.append(ctx, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.live[info.ID].ExpiryUnixMS; got != want.UnixMilli() {
+		t.Fatalf("wal fold: expiry %v, want the renewed %v", time.UnixMilli(got), want)
+	}
+	crashed, _ := recoverWALState(t, captureWALState(t, dir), leader.Graph(), clock)
+	check("crash-restarted wal ledger", crashed)
 }

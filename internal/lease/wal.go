@@ -8,6 +8,7 @@ import (
 	"log"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"nodeselect/internal/reqtrace"
@@ -16,10 +17,15 @@ import (
 
 // The ledger's persistence is an append-only JSON-lines write-ahead log
 // plus a periodic snapshot of the active leases. Every transition appends
-// one record (synced to disk before the in-memory state changes, so an
-// admitted lease is never lost); once enough records accumulate the log is
-// compacted: the active set is written to a snapshot file and the log
-// truncated. Recovery loads the snapshot and replays the log on top,
+// one record (synced to disk before Apply changes the in-memory state, so
+// an admitted lease is never lost). The WAL folds every record it loads or
+// appends into its own copy of the active set — exactly what replay would
+// recover — and once enough records accumulate it compacts from that
+// fold: the active set is written to a snapshot file and the log
+// truncated. Compacting from the fold, not from the ledger's memory, is
+// what lets appends run outside the ledger lock: a durable record whose
+// Apply has not run yet is already in the fold, so a compaction can never
+// drop it. Recovery loads the snapshot and replays the log on top,
 // tolerating a torn final line from a crash mid-append: the prefix is
 // recovered, a warning is logged, and the file is truncated back to the
 // last intact record so later appends never concatenate onto torn bytes.
@@ -170,6 +176,9 @@ type WAL struct {
 	f       *os.File
 	records int   // records in the current log segment
 	maxSeq  int64 // highest lease sequence ever observed
+	// live folds every loaded and appended record: the acquire-shaped
+	// record of each lease the log still holds, keyed by lease ID.
+	live map[string]Record
 	// CompactEvery is the record count that triggers snapshot+truncate
 	// (default 256); settable before the ledger starts using the WAL.
 	CompactEvery int
@@ -190,7 +199,7 @@ func OpenWAL(dir string) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lease: wal dir: %w", err)
 	}
-	w := &WAL{dir: dir, CompactEvery: 256, Logf: log.Printf}
+	w := &WAL{dir: dir, maxSeq: -1, live: make(map[string]Record), CompactEvery: 256, Logf: log.Printf}
 	f, err := os.OpenFile(w.logPath(), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("lease: wal log: %w", err)
@@ -200,34 +209,21 @@ func OpenWAL(dir string) (*WAL, error) {
 }
 
 // load reads the snapshot and replays the log, returning the active
-// acquire-shaped records and the highest lease sequence number observed
-// anywhere (so the ledger resumes IDs without reuse).
+// acquire-shaped records in lease-ID order and the highest lease sequence
+// number observed anywhere (so the ledger resumes IDs without reuse).
 func (w *WAL) load() (active []Record, maxSeq int64, err error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	maxSeq = -1
-	live := make(map[string]*Record)
-	var order []string
-
-	note := func(id string) {
-		if seq := leaseSeq(id); seq > maxSeq {
-			maxSeq = seq
-		}
-	}
-
 	if data, err := os.ReadFile(w.snapPath()); err == nil {
 		var snap walSnapshot
 		if jerr := json.Unmarshal(data, &snap); jerr != nil {
 			return nil, 0, fmt.Errorf("snapshot %s: %w", w.snapPath(), jerr)
 		}
-		if snap.NextSeq-1 > maxSeq {
-			maxSeq = snap.NextSeq - 1
+		if snap.NextSeq-1 > w.maxSeq {
+			w.maxSeq = snap.NextSeq - 1
 		}
-		for i := range snap.Active {
-			rec := snap.Active[i]
-			note(rec.ID)
-			live[rec.ID] = &rec
-			order = append(order, rec.ID)
+		for _, rec := range snap.Active {
+			w.installLocked(rec)
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, 0, err
@@ -253,57 +249,80 @@ func (w *WAL) load() (active []Record, maxSeq int64, err error) {
 			return nil, 0, fmt.Errorf("truncating torn wal tail: %w", err)
 		}
 	}
-	w.records = 0
-	for i := range recs {
-		rec := recs[i]
-		w.records++
-		note(rec.ID)
-		switch rec.Op {
-		case OpAcquire, OpMigrate:
-			// A migrate record is a full replacement of the lease's state;
-			// replaying it over the original acquire (or over a snapshot
-			// entry) lands on the post-handover placement. The order slice
-			// dedups on first occurrence, so re-appending the ID is safe.
-			r := rec
-			live[rec.ID] = &r
-			order = append(order, rec.ID)
-		case OpBatch:
-			// Every nested acquire of an intact batch line replays; a torn
-			// batch line never reaches here (ScanRecords drops it whole).
-			for i := range rec.Batch {
-				sub := rec.Batch[i]
-				note(sub.ID)
-				live[sub.ID] = &sub
-				order = append(order, sub.ID)
-			}
-		case OpRenew:
-			if cur, ok := live[rec.ID]; ok {
-				cur.ExpiryUnixMS = rec.ExpiryUnixMS
-			}
-		case OpRelease, OpExpire:
-			delete(live, rec.ID)
-		}
+	w.records = len(recs)
+	for _, rec := range recs {
+		w.foldLocked(rec)
 	}
 	if _, err := w.f.Seek(0, 2); err != nil {
 		return nil, 0, err
 	}
-
-	seen := make(map[string]bool, len(live))
-	for _, id := range order {
-		if rec, ok := live[id]; ok && !seen[id] {
-			seen[id] = true
-			active = append(active, *rec)
-		}
-	}
-	w.maxSeq = maxSeq
-	return active, maxSeq, nil
+	return w.activeLocked(), w.maxSeq, nil
 }
 
-// append writes one record and syncs it to disk. The ledger calls this
-// *before* mutating in-memory state, so a crash never loses an
-// acknowledged transition. The record is stamped with the context's
-// trace ID, and the write+fsync is timed as a "wal.fsync" span — fsync is
-// the one disk wait on the admission path, so it gets its own span.
+// installLocked makes rec the live record of its lease. Callers hold w.mu.
+func (w *WAL) installLocked(rec Record) {
+	if seq := leaseSeq(rec.ID); seq > w.maxSeq {
+		w.maxSeq = seq
+	}
+	w.live[rec.ID] = rec
+}
+
+// foldLocked applies one logged transition to the live set, as replay
+// does. Callers hold w.mu.
+func (w *WAL) foldLocked(rec Record) {
+	if seq := leaseSeq(rec.ID); seq > w.maxSeq {
+		w.maxSeq = seq
+	}
+	switch rec.Op {
+	case OpAcquire:
+		w.installLocked(rec)
+	case OpMigrate:
+		// A migrate record is a full replacement of the lease's state —
+		// replaying it over the original acquire (or over a snapshot
+		// entry) lands on the post-handover placement — except for the
+		// term, which migration never changes (see Apply).
+		if cur, ok := w.live[rec.ID]; ok {
+			rec.ExpiryUnixMS = cur.ExpiryUnixMS
+		}
+		rec.Op = OpAcquire
+		w.installLocked(rec)
+	case OpBatch:
+		// Every nested acquire of an intact batch line replays; a torn
+		// batch line never reaches here (ScanRecords drops it whole).
+		for _, sub := range rec.Batch {
+			w.installLocked(sub)
+		}
+	case OpRenew:
+		if cur, ok := w.live[rec.ID]; ok {
+			cur.ExpiryUnixMS = rec.ExpiryUnixMS
+			w.live[rec.ID] = cur
+		}
+	case OpRelease, OpExpire:
+		delete(w.live, rec.ID)
+	}
+}
+
+// activeLocked returns the live records in lease-ID order. Callers hold
+// w.mu.
+func (w *WAL) activeLocked() []Record {
+	out := make([]Record, 0, len(w.live))
+	for _, rec := range w.live {
+		out = append(out, rec)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if a, b := leaseSeq(out[i].ID), leaseSeq(out[j].ID); a != b {
+			return a < b
+		}
+		return out[i].ID < out[j].ID
+	})
+	return out
+}
+
+// append writes one record and syncs it to disk, then folds it into the
+// live set and compacts once the segment has grown past CompactEvery
+// records. The record is stamped with the context's trace ID, and the
+// write+fsync is timed as a "wal.fsync" span — fsync is the one disk wait
+// on the admission path, so it gets its own span.
 func (w *WAL) append(ctx context.Context, rec Record) error {
 	if rec.RequestID == "" {
 		rec.RequestID = reqtrace.TraceID(ctx)
@@ -334,40 +353,40 @@ func (w *WAL) appendRecord(rec Record) error {
 		return err
 	}
 	w.records++
-	if seq := leaseSeq(rec.ID); seq > w.maxSeq {
-		w.maxSeq = seq
-	}
-	for i := range rec.Batch {
-		if seq := leaseSeq(rec.Batch[i].ID); seq > w.maxSeq {
-			w.maxSeq = seq
-		}
+	w.foldLocked(rec)
+	if w.records >= w.CompactEvery {
+		// Compaction failure is not fatal: the log keeps growing and
+		// remains replayable; the next append retries.
+		w.compactLocked()
 	}
 	return nil
 }
 
-// due reports whether the log segment has grown past the compaction
-// threshold.
-func (w *WAL) due() bool {
+// forget drops a lease from the live set without logging anything; the
+// next compaction leaves it out of the snapshot.
+func (w *WAL) forget(id string) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.f != nil && w.records >= w.CompactEvery
+	delete(w.live, id)
 }
 
-// compact writes the active set to the snapshot file (atomically, via a
-// temp file and rename) and truncates the log segment.
-func (w *WAL) compact(active []Record) error {
+// compact writes the live set to the snapshot file and truncates the log
+// segment.
+func (w *WAL) compact() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	return w.compactLocked()
+}
+
+// compactLocked writes the snapshot atomically, via a temp file and
+// rename, before truncating the log: a crash between the two replays the
+// whole log over the snapshot, which the fold absorbs (same-ID records
+// replace each other). Callers hold w.mu.
+func (w *WAL) compactLocked() error {
 	if w.f == nil {
 		return fmt.Errorf("wal closed")
 	}
-	nextSeq := w.maxSeq + 1
-	for _, rec := range active {
-		if seq := leaseSeq(rec.ID); seq >= nextSeq {
-			nextSeq = seq + 1
-		}
-	}
-	doc, err := json.Marshal(walSnapshot{Active: active, NextSeq: nextSeq})
+	doc, err := json.Marshal(walSnapshot{Active: w.activeLocked(), NextSeq: w.maxSeq + 1})
 	if err != nil {
 		return err
 	}
@@ -385,7 +404,6 @@ func (w *WAL) compact(active []Record) error {
 		return err
 	}
 	w.records = 0
-	w.maxSeq = nextSeq - 1
 	return nil
 }
 

@@ -121,11 +121,8 @@ func TestWALCompactionBatchCrashMatrix(t *testing.T) {
 	// the snapshot rename and the log truncate would leave it.
 	stateD := captureWALState(t, dir)
 
-	// Compact, exactly as maybeCompactLocked would.
-	l.mu.Lock()
-	active := l.activeRecordsLocked()
-	l.mu.Unlock()
-	if err := w.compact(active); err != nil {
+	// Compact, exactly as the WAL does once CompactEvery records accumulate.
+	if err := w.compact(); err != nil {
 		t.Fatal(err)
 	}
 

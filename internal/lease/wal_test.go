@@ -5,9 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -130,12 +132,38 @@ func TestWALRecoverySkipsExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	clock.Advance(time.Minute) // first lease dead, second alive
-	l2 := reopen(t, l, dir, Options{Now: clock.Now})
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before := captureWALState(t, dir)
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l2, err := New(l.Graph(), Options{Now: clock.Now, WAL: w})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if l2.Len() != 1 {
 		t.Fatalf("recovered %d leases, want 1", l2.Len())
 	}
 	if st := l2.Stats(); st.RecoverySkipped != 1 {
 		t.Fatalf("stats %+v", st)
+	}
+	// Recovery writes nothing; the skipped lease leaves the WAL at the
+	// next compaction.
+	for _, name := range []string{"ledger.wal.jsonl", "ledger.snap.json"} {
+		was, _ := os.ReadFile(filepath.Join(before, name))
+		now, _ := os.ReadFile(filepath.Join(dir, name))
+		if string(was) != string(now) {
+			t.Fatalf("recovery wrote to %s: %d bytes -> %d", name, len(was), len(now))
+		}
+	}
+	if err := l2.opt.WAL.compact(); err != nil {
+		t.Fatal(err)
+	}
+	if active, _, err := l2.opt.WAL.load(); err != nil || len(active) != 1 {
+		t.Fatalf("compacted wal holds %d leases (err %v), want 1", len(active), err)
 	}
 }
 
@@ -336,4 +364,130 @@ func TestAcquireFailsWhenWALUnwritable(t *testing.T) {
 	if l.Len() != 0 {
 		t.Fatal("failed acquire left state behind")
 	}
+}
+
+// TestRenewWALFailureKeepsExpiry: a renew whose WAL append fails must
+// change nothing. The expiry moves only when Apply installs the committed
+// renew record, so an error leaves the lease's term where it was.
+func TestRenewWALFailureKeepsExpiry(t *testing.T) {
+	clock := newFakeClock()
+	l, _ := newWALLedger(t, 4, clock)
+	info, err := l.Acquire(context.Background(), newSnap(l), Demand{CPU: 0.2}, time.Minute, balancedPlace(1, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l.opt.WAL.close() // every append now fails
+	clock.Advance(10 * time.Second)
+	if _, err := l.Renew(context.Background(), info.ID, 10*time.Minute); err == nil {
+		t.Fatal("renew succeeded with a closed WAL")
+	}
+	got, ok := l.Get(info.ID)
+	if !ok {
+		t.Fatal("failed renew lost the lease")
+	}
+	if !got.ExpiresAt.Equal(info.ExpiresAt) {
+		t.Fatalf("failed renew moved the expiry from %v to %v", info.ExpiresAt, got.ExpiresAt)
+	}
+	if st := l.Stats(); st.Renewed != 0 {
+		t.Fatalf("stats %+v: a failed renew was counted", st)
+	}
+}
+
+// TestWALCompactionUnderConcurrency: appends run outside the ledger lock
+// and compaction runs inside the WAL, from the WAL's own fold of the
+// records it holds. With compaction every few records and many goroutines
+// acquiring, renewing and releasing at once, the WAL directory must at
+// every quiet point recover exactly what was acked: every held lease with
+// its last acked expiry, and no released lease.
+func TestWALCompactionUnderConcurrency(t *testing.T) {
+	clock := newFakeClock()
+	dir := t.TempDir()
+	w, err := OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.CompactEvery = 4
+	g := starGraph(16)
+	l, err := New(g, Options{Now: clock.Now, WAL: w, MaxTTL: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := newSnap(l)
+
+	const workers, ops = 8, 40
+	held := make([]map[string]time.Time, workers) // acked lease -> acked expiry
+	released := make([][]string, workers)
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		held[i] = make(map[string]time.Time)
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(i)))
+			ctx := context.Background()
+			var mine []string
+			for op := 0; op < ops; op++ {
+				switch r := rng.Intn(3); {
+				case r == 0 || len(mine) == 0:
+					info, err := l.Acquire(ctx, snap, Demand{CPU: 0.01, BW: 1e3}, time.Duration(1+rng.Intn(30))*time.Minute, balancedPlace(1+rng.Intn(2), 0))
+					if err != nil {
+						t.Errorf("worker %d acquire: %v", i, err)
+						return
+					}
+					mine = append(mine, info.ID)
+					held[i][info.ID] = info.ExpiresAt
+				case r == 1:
+					id := mine[rng.Intn(len(mine))]
+					info, err := l.Renew(ctx, id, time.Duration(1+rng.Intn(50))*time.Minute)
+					if err != nil {
+						t.Errorf("worker %d renew %s: %v", i, id, err)
+						return
+					}
+					held[i][id] = info.ExpiresAt
+				default:
+					k := rng.Intn(len(mine))
+					id := mine[k]
+					if err := l.Release(ctx, id); err != nil {
+						t.Errorf("worker %d release %s: %v", i, id, err)
+						return
+					}
+					mine = append(mine[:k], mine[k+1:]...)
+					delete(held[i], id)
+					released[i] = append(released[i], id)
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	if _, err := os.Stat(filepath.Join(dir, "ledger.snap.json")); err != nil {
+		t.Fatalf("no compaction ran: %v", err)
+	}
+	rec, _ := recoverWALState(t, captureWALState(t, dir), g, clock)
+	want := 0
+	for i := range held {
+		for id, expiry := range held[i] {
+			want++
+			got, ok := rec.Get(id)
+			if !ok {
+				t.Fatalf("acked lease %s lost across compaction", id)
+			}
+			if got.ExpiresAt.UnixMilli() != expiry.UnixMilli() {
+				t.Fatalf("lease %s recovered expiry %v, last acked %v", id, got.ExpiresAt, expiry)
+			}
+		}
+		for _, id := range released[i] {
+			if _, ok := rec.Get(id); ok {
+				t.Fatalf("released lease %s came back after recovery", id)
+			}
+		}
+	}
+	if rec.Len() != want {
+		t.Fatalf("recovered %d leases, want the %d held", rec.Len(), want)
+	}
+	wantCPU, wantBW := l.Committed()
+	assertCommitted(t, rec, wantCPU, wantBW, "recovered")
 }

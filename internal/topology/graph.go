@@ -15,6 +15,8 @@ package topology
 import (
 	"fmt"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // NodeKind distinguishes processors from network devices.
@@ -100,8 +102,14 @@ type Graph struct {
 	byName map[string]int
 	// adj[n] lists the link IDs incident to node n, sorted ascending for
 	// deterministic traversal.
-	adj    [][]int
-	routes *routeTable // lazily built by Routes()
+	adj [][]int
+	// routes is the static route table, built on first use by Routes and
+	// dropped by every structural edit. Concurrent selections share one
+	// graph, so the memo is published atomically and routesMu makes the
+	// first concurrent callers wait for a single build rather than each
+	// building (and writing) their own.
+	routes   atomic.Pointer[routeTable]
+	routesMu sync.Mutex
 }
 
 // NewGraph returns an empty graph.
@@ -186,7 +194,7 @@ func (g *Graph) addNode(name string, kind NodeKind, speed float64, arch string) 
 	g.nodes = append(g.nodes, Node{ID: id, Name: name, Kind: kind, Speed: speed, Arch: arch})
 	g.byName[name] = id
 	g.adj = append(g.adj, nil)
-	g.routes = nil
+	g.routes.Store(nil)
 	return id
 }
 
@@ -246,7 +254,7 @@ func (g *Graph) Connect(a, b int, capacity float64, opts LinkOpts) int {
 	})
 	g.adj[a] = append(g.adj[a], id)
 	g.adj[b] = append(g.adj[b], id)
-	g.routes = nil
+	g.routes.Store(nil)
 	return id
 }
 

@@ -18,8 +18,13 @@ type routeTable struct {
 
 // Routes builds (or returns the cached) static routing table.
 func (g *Graph) Routes() *routeTable {
-	if g.routes != nil {
-		return g.routes
+	if rt := g.routes.Load(); rt != nil {
+		return rt
+	}
+	g.routesMu.Lock()
+	defer g.routesMu.Unlock()
+	if rt := g.routes.Load(); rt != nil {
+		return rt
 	}
 	n := len(g.nodes)
 	rt := &routeTable{
@@ -50,7 +55,7 @@ func (g *Graph) Routes() *routeTable {
 			}
 		}
 	}
-	g.routes = rt
+	g.routes.Store(rt)
 	return rt
 }
 

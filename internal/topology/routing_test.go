@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -136,6 +137,41 @@ func TestRoutesInvalidatedByMutation(t *testing.T) {
 	}
 }
 
+// TestRoutesConcurrentFirstUse: many selections share one graph, and the
+// first of them race to build the lazy route table. Under -race every
+// goroutine must see one fully built table (the same one), and a later
+// structural edit must still invalidate it.
+func TestRoutesConcurrentFirstUse(t *testing.T) {
+	g := star(40)
+	a, b := g.MustNode("c00"), g.MustNode("c39")
+	const workers = 16
+	tables := make([]*routeTable, workers)
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if r := g.Route(a, b); len(r) != 2 {
+				t.Errorf("worker %d: route has %d links, want 2", i, len(r))
+			}
+			tables[i] = g.Routes()
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i, rt := range tables {
+		if rt != tables[0] {
+			t.Fatalf("worker %d saw a different route table: the memo was built more than once", i)
+		}
+	}
+	g.Connect(a, b, 1e6, LinkOpts{})
+	if g.HopCount(a, b) != 1 {
+		t.Fatalf("HopCount after shortcut = %d, want 1", g.HopCount(a, b))
+	}
+}
+
 // randomTree builds a uniformly random labelled tree over n compute nodes.
 func randomTree(src *randx.Source, n int) *Graph {
 	g := NewGraph()
@@ -202,7 +238,7 @@ func BenchmarkRouteTableBuild(b *testing.B) {
 	g := randomTree(src, 200)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		g.routes = nil
+		g.routes.Store(nil)
 		g.Routes()
 	}
 }
